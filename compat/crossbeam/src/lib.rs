@@ -1,10 +1,10 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
 //! Only the `channel::bounded` constructor is provided, backed by
-//! `std::sync::mpsc::sync_channel`, whose blocking `send` gives the same
-//! rendezvous back-pressure the live runtime (`pandora::rt`) relies on.
-//! The real crossbeam channel is MPMC; this shim is MPSC, which matches
-//! every use in this workspace (one consumer per channel).
+//! `std::sync::mpsc::sync_channel`, whose blocking `send` gives
+//! rendezvous back-pressure. The real crossbeam channel is MPMC; this
+//! shim is MPSC. No workspace code calls it; `pandora`'s manifest still
+//! names it until the benchmark's lockfile is next regenerated.
 
 /// Bounded blocking channels, mirroring `crossbeam::channel`.
 pub mod channel {

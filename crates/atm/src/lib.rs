@@ -29,6 +29,6 @@ pub use aal::{cells_gather, segment_to_cells, Reassembler, SlabReassembler};
 pub use burst::{burst_gather, segment_to_burst, CellBurst, SwitchCore};
 pub use cell::{Cell, Vci, CELL_BYTES, CELL_PAYLOAD};
 pub use network::{
-    build_duplex_path, build_path, build_path_controlled, cell_time, jitter_stage, loss_stage,
-    DuplexPath, FabricCounters, HopConfig, JitterModel, PathControl, StageStats, Switch,
+    build_duplex_path, build_path, build_path_controlled, jitter_stage, loss_stage, DuplexPath,
+    FabricCounters, HopConfig, JitterModel, PathControl, Switch,
 };

@@ -19,7 +19,7 @@ use pandora_sim::{
     Spawner,
 };
 
-use crate::cell::{Cell, Vci, CELL_BYTES};
+use crate::cell::{Cell, Vci};
 
 /// A random extra-delay process applied to a FIFO stream.
 #[derive(Debug, Clone, Copy)]
@@ -116,10 +116,6 @@ impl FabricCounters {
     }
 }
 
-/// Statistics of a network stage (the loss-relevant view of
-/// [`FabricCounters`]).
-pub type StageStats = FabricCounters;
-
 /// Spawns a FIFO-preserving jitter stage: each item is delayed by a fresh
 /// sample, but never reordered (delivery time is clamped to be monotonic,
 /// like queueing behind cross-traffic).
@@ -166,10 +162,10 @@ pub fn loss_stage<T: 'static>(
     p: f64,
     seed: u64,
     input: Receiver<T>,
-) -> (Receiver<T>, StageStats) {
+) -> (Receiver<T>, FabricCounters) {
     assert!((0.0..=1.0).contains(&p), "loss probability out of range");
     let (tx, rx) = channel::<T>();
-    let stats = StageStats::default();
+    let stats = FabricCounters::default();
     let s = stats.clone();
     let name = format!("loss:{name}");
     spawner.spawn(&name, async move {
@@ -225,7 +221,7 @@ pub fn build_path(
     name: &str,
     hops: &[HopConfig],
     seed: u64,
-) -> (LinkSender<Cell>, Receiver<Cell>, Vec<StageStats>) {
+) -> (LinkSender<Cell>, Receiver<Cell>, Vec<FabricCounters>) {
     assert!(!hops.is_empty(), "a path needs at least one hop");
     let mut stats = Vec::new();
     let first = LinkConfig::new(leak_name(format!("{name}.0")), hops[0].bits_per_sec)
@@ -365,7 +361,7 @@ pub fn build_path_controlled(
 ) -> (
     LinkSender<Cell>,
     Receiver<Cell>,
-    Vec<StageStats>,
+    Vec<FabricCounters>,
     PathControl,
 ) {
     assert!(!hops.is_empty(), "a path needs at least one hop");
@@ -417,9 +413,9 @@ pub struct DuplexPath {
     /// B-side receiver (egress of the a→b direction).
     pub b_rx: Receiver<Cell>,
     /// Per-hop loss stats of the a→b direction.
-    pub a_to_b: Vec<StageStats>,
+    pub a_to_b: Vec<FabricCounters>,
     /// Per-hop loss stats of the b→a direction.
-    pub b_to_a: Vec<StageStats>,
+    pub b_to_a: Vec<FabricCounters>,
     /// Fault-injection control of the a→b direction.
     pub a_to_b_ctrl: PathControl,
     /// Fault-injection control of the b→a direction.
@@ -515,7 +511,7 @@ fn apply_disturbance(
     hop: &HopConfig,
     seed: u64,
     mut rx: Receiver<Cell>,
-    stats: &mut Vec<StageStats>,
+    stats: &mut Vec<FabricCounters>,
 ) -> Receiver<Cell> {
     if !matches!(hop.jitter, JitterModel::None) {
         rx = jitter_stage(
@@ -537,7 +533,7 @@ fn apply_disturbance(
         stats.push(s);
         lrx
     } else {
-        stats.push(StageStats::default());
+        stats.push(FabricCounters::default());
         rx
     }
 }
@@ -586,33 +582,6 @@ impl Switch {
                     return;
                 };
                 task_core.dispatch_cell(cell);
-            }
-        });
-        (Switch { core }, port_rxs)
-    }
-
-    /// Spawns a burst-mode switch: inputs carry whole [`CellBurst`]s and
-    /// each one crosses the fabric with a single dispatch (one route
-    /// lookup, bulk per-port appends, bulk counter updates). Outputs stay
-    /// per-cell so downstream consumers are unchanged; port-by-port the
-    /// cell stream is byte-identical to [`Switch::spawn`] fed the bursts'
-    /// cells in the same arrival order.
-    pub fn spawn_bursts(
-        spawner: &Spawner,
-        name: &str,
-        inputs: Vec<Receiver<crate::burst::CellBurst>>,
-        output_ports: usize,
-        port_queue: usize,
-    ) -> (Switch, Vec<Receiver<Cell>>) {
-        let (core, port_rxs) = crate::burst::SwitchCore::new(output_ports, port_queue);
-        let task_core = core.clone();
-        spawner.spawn(&format!("switch:{name}"), async move {
-            loop {
-                let guards: Vec<&Receiver<crate::burst::CellBurst>> = inputs.iter().collect();
-                let Some(Ok((_port, burst))) = pandora_sim::alt_many(&guards).await else {
-                    return;
-                };
-                task_core.dispatch_burst(&burst);
             }
         });
         (Switch { core }, port_rxs)
@@ -708,22 +677,11 @@ impl Switch {
     }
 }
 
-/// Time to transmit one cell at `bits_per_sec`.
-pub fn cell_time(bits_per_sec: u64) -> SimDuration {
-    SimDuration(((CELL_BYTES as u128 * 8 * 1_000_000_000) / bits_per_sec as u128) as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pandora_sim::{SimTime, Simulation};
     use std::cell::RefCell as StdRefCell;
-
-    #[test]
-    fn cell_time_math() {
-        // 53 bytes at 100Mbit/s = 4.24us.
-        assert_eq!(cell_time(100_000_000), SimDuration::from_nanos(4_240));
-    }
 
     #[test]
     fn clean_path_delivers_in_order() {

@@ -1,8 +1,7 @@
 //! `bench-json`: the tracked transport throughput suite.
 //!
-//! A hand-rolled wall-clock harness (the criterion shim prints rather
-//! than records): each case is warmed up, then sampled as calibrated
-//! batches; the median ns/op and derived ops/sec land in
+//! A hand-rolled wall-clock harness: each case is warmed up, then sampled
+//! as calibrated batches; the median ns/op and derived ops/sec land in
 //! `BENCH_transport.json` and `BENCH_session.json` at the current
 //! directory — run it from the workspace root, as CI's `bench-smoke`
 //! step does:
@@ -13,7 +12,9 @@
 //! ```
 //!
 //! The transport file also records the AAL legacy-vs-slab comparison the
-//! zero-copy rework is tracked by; the session file tracks the control
+//! zero-copy rework is tracked by, plus floor-free per-block audio
+//! primitives (µ-law, muting, clawback) and executor primitives
+//! (rendezvous, CPU claim, timer); the session file tracks the control
 //! plane's hot paths (signalling codec, admission charging, directory
 //! lookup); the recovery file (`BENCH_recovery.json`) tracks the
 //! failure-recovery runtime — wall-clock op rates of the lease and
@@ -32,9 +33,9 @@ use pandora_atm::{
     cells_gather, segment_to_burst, segment_to_cells, Cell, CellBurst, Reassembler,
     SlabReassembler, SwitchCore, Vci,
 };
-use pandora_audio::gen::Speech;
-use pandora_audio::{mix_blocks, mix_blocks_scalar, Block};
-use pandora_buffers::{ByteSlab, Pool};
+use pandora_audio::gen::{Signal, Speech, Tone};
+use pandora_audio::{mix_blocks, mix_blocks_scalar, mulaw, Block, Muting, MutingConfig};
+use pandora_buffers::{ByteSlab, Clawback, ClawbackConfig, Pool};
 use pandora_faults::{install, FaultPlan, FaultTargets};
 use pandora_recover::{AdaptMachine, HealthConfig, Lease, LeaseConfig, MediaClass, WindowSample};
 use pandora_segment::{
@@ -45,7 +46,7 @@ use pandora_session::{
     AdmissionController, Capabilities, ControllerConfig, Directory, EndpointRecord, SessionMsg,
     Star, StarConfig, StreamClass,
 };
-use pandora_sim::{Receiver, SimDuration, SimTime, Simulation};
+use pandora_sim::{channel, Cpu, Receiver, SimDuration, SimTime, Simulation};
 use pandora_video::dpcm::{
     compress_line, compress_slice, decompress_line, decompress_slice, LineMode,
 };
@@ -80,6 +81,19 @@ struct Case {
     ops_per_sec: f64,
 }
 
+impl Case {
+    /// The case whose time per operation is the median of `samples` (ns).
+    fn from_samples(name: &'static str, mut samples: Vec<f64>) -> Case {
+        samples.sort_by(|a, b| a.total_cmp(b));
+        let median_ns = samples[samples.len() / 2];
+        Case {
+            name,
+            median_ns,
+            ops_per_sec: 1e9 / median_ns,
+        }
+    }
+}
+
 /// Times `f` in calibrated batches and returns the median ns per call.
 fn measure(name: &'static str, budget: Budget, mut f: impl FnMut()) -> Case {
     // Probe once to size the batch so each sample fills its budget.
@@ -99,13 +113,7 @@ fn measure(name: &'static str, budget: Budget, mut f: impl FnMut()) -> Case {
         }
         per_op.push(t0.elapsed().as_nanos() as f64 / f64::from(batch));
     }
-    per_op.sort_by(|a, b| a.total_cmp(b));
-    let median_ns = per_op[per_op.len() / 2];
-    Case {
-        name,
-        median_ns,
-        ops_per_sec: 1e9 / median_ns,
-    }
+    Case::from_samples(name, per_op)
 }
 
 /// Times two bodies as alternating samples in the same window, so slow
@@ -145,16 +153,10 @@ fn measure_paired(
         }
         per2.push(t0.elapsed().as_nanos() as f64 / f64::from(b2));
     }
-    let case = |name, mut per: Vec<f64>| {
-        per.sort_by(|a: &f64, b: &f64| a.total_cmp(b));
-        let median_ns = per[per.len() / 2];
-        Case {
-            name,
-            median_ns,
-            ops_per_sec: 1e9 / median_ns,
-        }
-    };
-    (case(names.0, per1), case(names.1, per2))
+    (
+        Case::from_samples(names.0, per1),
+        Case::from_samples(names.1, per2),
+    )
 }
 
 fn audio_segment() -> Segment {
@@ -283,7 +285,94 @@ fn run_cases(budget: Budget) -> Vec<Case> {
             std::hint::black_box(pool.release(d));
         }));
     }
+
+    // Per-block audio primitives: the codec, the muting detector and the
+    // clawback buffer each run once per 2 ms block per stream.
+    let pcm: Vec<i16> = (0..16).map(|i| (i * 1000) as i16).collect();
+    cases.push(measure("mulaw_encode_block_16", budget, || {
+        for &s in &pcm {
+            std::hint::black_box(mulaw::encode(std::hint::black_box(s)));
+        }
+    }));
+    let ulaw: Vec<u8> = (0..16u8).map(|i| i * 13).collect();
+    cases.push(measure("mulaw_decode_block_16", budget, || {
+        for &b in &ulaw {
+            std::hint::black_box(mulaw::decode(std::hint::black_box(b)));
+        }
+    }));
+    {
+        let mut muting = Muting::new(MutingConfig::default());
+        let loud = Tone::new(300.0, 20_000.0).next_block();
+        cases.push(measure("muting_observe_apply", budget, || {
+            muting.observe_speaker(&loud);
+            std::hint::black_box(muting.apply_mic(&loud));
+        }));
+    }
+    {
+        let mut clawback = Clawback::new(ClawbackConfig::default());
+        for _ in 0..5 {
+            clawback.arrival(0u64);
+        }
+        cases.push(measure("clawback_arrival_tick", budget, || {
+            clawback.arrival(std::hint::black_box(1));
+            std::hint::black_box(clawback.tick());
+        }));
+    }
+
+    // Executor primitives, each timed over a fresh simulation running
+    // `SIM_OPS` operations and reported per operation.
+    cases.push(per_op(measure("sim_rendezvous_round_trip", budget, || {
+        let mut sim = Simulation::new();
+        let (tx, rx) = channel::<u32>();
+        let (ack_tx, ack_rx) = channel::<u32>();
+        // Ping sends only after its ack arrives and pong acks only what it
+        // received, so neither ever blocks sending while the other does.
+        // check:allow(channel-cycle): strict alternation is the round trip measured.
+        sim.spawn("ping", async move {
+            for i in 0..SIM_OPS {
+                if tx.send(i).await.is_err() || ack_rx.recv().await.is_err() {
+                    return;
+                }
+            }
+        });
+        sim.spawn("pong", async move {
+            while let Ok(v) = rx.recv().await {
+                if ack_tx.send(v).await.is_err() {
+                    return;
+                }
+            }
+        });
+        sim.run_until_idle();
+    })));
+    cases.push(per_op(measure("sim_cpu_claim", budget, || {
+        let mut sim = Simulation::new();
+        let cpu = Cpu::new("bench", SimDuration::from_nanos(700));
+        sim.spawn("worker", async move {
+            for _ in 0..SIM_OPS {
+                cpu.claim(SimDuration::from_micros(10)).await;
+            }
+        });
+        sim.run_until_idle();
+    })));
+    cases.push(per_op(measure("sim_timer_fire", budget, || {
+        let mut sim = Simulation::new();
+        sim.spawn("sleeper", async move {
+            for _ in 0..SIM_OPS {
+                pandora_sim::delay(SimDuration::from_micros(100)).await;
+            }
+        });
+        sim.run_until_idle();
+    })));
     cases
+}
+
+/// Operations per call of the executor cases in [`run_cases`].
+const SIM_OPS: u32 = 1_000;
+
+/// Rescales a case timed over [`SIM_OPS`] operations per call to
+/// per-operation figures.
+fn per_op(case: Case) -> Case {
+    Case::from_samples(case.name, vec![case.median_ns / f64::from(SIM_OPS)])
 }
 
 /// A scalar-vs-batched hot-path pair measured drift-free in one window,

@@ -412,9 +412,9 @@ impl Default for Config {
                 "shard",
                 "overlay",
             ]),
-            // rt.rs is the intentionally-live runtime; bench measures the
-            // host; the analyzer itself times its own run for the report.
-            wall_clock_allowlist: v(&["crates/core/src/rt.rs", "crates/bench", "crates/check"]),
+            // bench measures the host; the analyzer itself times its own
+            // run for the report.
+            wall_clock_allowlist: v(&["crates/bench", "crates/check"]),
             command_plane_crates: v(&["session", "recover"]),
         }
     }

@@ -425,12 +425,14 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_allowlisted_in_rt() {
-        let out = diags(
-            "crates/core/src/rt.rs",
-            "fn f() { let t = std::time::Instant::now(); }\n",
-        );
+    fn wall_clock_allowlisted_in_bench_only() {
+        let src = "fn f() { let t = std::time::Instant::now(); }\n";
+        let out = diags("crates/bench/src/bin/bench_json.rs", src);
         assert!(out.is_empty(), "{out:?}");
+        // Every other crate, the box included, is held to the rule.
+        let out = diags("crates/core/src/pandora_box.rs", src);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].rule, Rule::WallClock);
     }
 
     #[test]

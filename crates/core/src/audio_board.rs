@@ -601,13 +601,6 @@ async fn handle_segment(
     }
 }
 
-/// Convenience: a playback rig fed directly by generated segments — used
-/// by unit tests and the capacity benches (no server board involved).
-pub struct DirectFeed {
-    /// Send `(stream, segment)` pairs here.
-    pub tx: Sender<(StreamId, AudioSegment)>,
-}
-
 /// Spawns a generator task producing `n_streams` synthetic audio streams
 /// at the nominal rate into `tx`, each as `blocks_per_segment`-block
 /// segments, for `duration`.

@@ -34,7 +34,6 @@ pub mod hostlog;
 pub mod msg;
 pub mod network_board;
 pub mod pandora_box;
-pub mod rt;
 pub mod server_board;
 pub mod video_boards;
 

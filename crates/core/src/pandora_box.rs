@@ -647,15 +647,6 @@ impl PandoraBox {
         self.session_rx.borrow_mut().take()
     }
 
-    /// Injects a test segment directly into the switch (the `test in`
-    /// handler of figure 3.3).
-    pub async fn inject_segment(&self, stream: StreamId, segment: Segment) -> bool {
-        match alloc_slab_segment(&self.pool, &self.slab, &segment) {
-            Some(desc) => self.to_switch.send(SegMsg { stream, desc }).await.is_ok(),
-            None => false,
-        }
-    }
-
     /// Returns a sender that feeds `(stream, segment)` pairs into this
     /// box's switch — an input device handler for external attachments
     /// (e.g. repository playback). Each call spawns a fresh handler task.
@@ -702,9 +693,9 @@ pub struct BoxPair {
     /// Second box.
     pub b: PandoraBox,
     /// Loss stats of the a→b path hops.
-    pub a_to_b: Vec<pandora_atm::StageStats>,
+    pub a_to_b: Vec<pandora_atm::FabricCounters>,
     /// Loss stats of the b→a path hops.
-    pub b_to_a: Vec<pandora_atm::StageStats>,
+    pub b_to_a: Vec<pandora_atm::FabricCounters>,
     /// Fault-injection control of the a→b path (links and egress stage).
     pub a_to_b_ctrl: pandora_atm::PathControl,
     /// Fault-injection control of the b→a path.

@@ -10,7 +10,8 @@
 //! apply."
 //!
 //! Each unit is a tiny self-contained box: its own CPU, its own AAL
-//! (cells ↔ segments), attached to a [`Fabric`] port. Streams go directly
+//! (cells ↔ segments, reassembled into slab regions exactly as a box's
+//! network input does), attached to a [`Fabric`] port. Streams go directly
 //! unit-to-unit via VCI routes in the fabric switch. Speaker units reuse
 //! the Pandora clawback/mixing playback path; display units reuse the
 //! whole-frame assembly path — "the overall architecture is very similar
@@ -27,11 +28,11 @@ use pandora::audio_board::{spawn_audio_playback, PlaybackConfig, SpeakerSink};
 use pandora::video_boards::{
     spawn_video_capture, spawn_video_display, Camera, DisplaySink, VideoCaptureHandle,
 };
-use pandora::VideoCosts;
-use pandora_atm::{segment_to_cells, Cell, Reassembler, Switch, Vci};
+use pandora::{BoxConfig, VideoCosts};
+use pandora_atm::{segment_to_cells, Cell, SlabReassembler, Switch, Vci};
 use pandora_audio::gen::Signal;
 use pandora_audio::SegmentAssembler;
-use pandora_buffers::Report;
+use pandora_buffers::{ByteSlab, Report};
 use pandora_segment::{wire, Segment, StreamId, Timestamp, BLOCK_DURATION_NANOS};
 use pandora_sim::{link, Cpu, LinkConfig, LinkSender, Receiver, Sender, SimDuration, Spawner};
 use pandora_video::CaptureConfig;
@@ -134,6 +135,43 @@ impl Fabric {
     }
 }
 
+/// A unit's AAL transmit side: encodes `segment`, cuts it into cells on
+/// `vci` continuing the circuit's sequence count `cell_seq`, and sends
+/// them in order. `false` once the port has closed.
+async fn send(port: &LinkSender<Cell>, vci: Vci, cell_seq: &mut u32, segment: &Segment) -> bool {
+    let bytes = wire::encode(segment);
+    let cells = segment_to_cells(vci, &bytes, *cell_seq);
+    *cell_seq = cell_seq.wrapping_add(cells.len() as u32);
+    for cell in cells {
+        if port.send(cell).await.is_err() {
+            return false;
+        }
+    }
+    true
+}
+
+/// A unit's reassembler: the box's net-in reassembly into a slab of a
+/// box's geometry, so a unit accepts exactly the frames a box does.
+fn unit_reassembler() -> SlabReassembler {
+    let config = BoxConfig::standard("medusa");
+    SlabReassembler::new(ByteSlab::new(config.slab_buffers, config.slab_bytes))
+}
+
+/// A unit's AAL receive side: the next intact, decodable segment on
+/// `cells` and the circuit it came on; `None` once the port has closed.
+/// Frames lost to cell loss or failing to decode are skipped (§3.8: the
+/// segment is thrown away).
+async fn recv(cells: &Receiver<Cell>, reasm: &mut SlabReassembler) -> Option<(Vci, Segment)> {
+    while let Ok(cell) = cells.recv().await {
+        if let Some((vci, frame)) = reasm.push(cell) {
+            if let Ok(segment) = wire::decode_slab(&frame) {
+                return Some((vci, segment.to_segment()));
+            }
+        }
+    }
+    None
+}
+
 /// A microphone unit: signal → 2 ms blocks → segments → cells on a VCI.
 pub fn spawn_mic_unit(
     spawner: &Spawner,
@@ -157,13 +195,8 @@ pub fn spawn_mic_unit(
             c.claim(SimDuration::from_micros(250)).await;
             let ts = Timestamp::from_nanos(pandora_sim::now().as_nanos());
             if let Some(seg) = asm.push(block, ts) {
-                let bytes = wire::encode(&Segment::Audio(seg));
-                let cells = segment_to_cells(vci, &bytes, cell_seq);
-                cell_seq = cell_seq.wrapping_add(cells.len() as u32);
-                for cell in cells {
-                    if port.send(cell).await.is_err() {
-                        return;
-                    }
+                if !send(&port, vci, &mut cell_seq, &Segment::Audio(seg)).await {
+                    return;
                 }
             }
         }
@@ -184,15 +217,12 @@ pub fn spawn_speaker_unit(
         SimDuration::from_nanos(700),
     );
     let (seg_tx, seg_rx) = pandora_sim::channel::<(StreamId, pandora_segment::AudioSegment)>();
-    // AAL adapter.
     spawner.spawn(&format!("speaker-unit:{name}:aal"), async move {
-        let mut reasm = Reassembler::new();
-        while let Ok(cell) = cells.recv().await {
-            if let Some((vci, frame)) = reasm.push(cell) {
-                if let Ok(Segment::Audio(a)) = wire::decode(&frame) {
-                    if seg_tx.send((vci.stream(), a)).await.is_err() {
-                        return;
-                    }
+        let mut reasm = unit_reassembler();
+        while let Some((vci, segment)) = recv(&cells, &mut reasm).await {
+            if let Segment::Audio(a) = segment {
+                if seg_tx.send((vci.stream(), a)).await.is_err() {
+                    return;
                 }
             }
         }
@@ -237,13 +267,8 @@ pub fn spawn_camera_unit(
     spawner.spawn(&format!("camera-unit:{name}:aal"), async move {
         let mut cell_seq: u32 = 0;
         while let Ok((_, seg)) = seg_rx.recv().await {
-            let bytes = wire::encode(&Segment::Video(seg));
-            let cells = segment_to_cells(vci, &bytes, cell_seq);
-            cell_seq = cell_seq.wrapping_add(cells.len() as u32);
-            for cell in cells {
-                if port.send(cell).await.is_err() {
-                    return;
-                }
+            if !send(&port, vci, &mut cell_seq, &Segment::Video(seg)).await {
+                return;
             }
         }
     });
@@ -262,13 +287,11 @@ pub fn spawn_display_unit(
     );
     let (seg_tx, seg_rx) = pandora_sim::channel::<(StreamId, pandora_segment::VideoSegment)>();
     spawner.spawn(&format!("display-unit:{name}:aal"), async move {
-        let mut reasm = Reassembler::new();
-        while let Ok(cell) = cells.recv().await {
-            if let Some((vci, frame)) = reasm.push(cell) {
-                if let Ok(Segment::Video(v)) = wire::decode(&frame) {
-                    if seg_tx.send((vci.stream(), v)).await.is_err() {
-                        return;
-                    }
+        let mut reasm = unit_reassembler();
+        while let Some((vci, segment)) = recv(&cells, &mut reasm).await {
+            if let Segment::Video(v) = segment {
+                if seg_tx.send((vci.stream(), v)).await.is_err() {
+                    return;
                 }
             }
         }
@@ -294,27 +317,19 @@ pub fn spawn_filter_unit(
     in_cells: Receiver<Cell>,
     out_vci: Vci,
     port: LinkSender<Cell>,
-    transform: impl FnMut(&mut pandora_segment::VideoSegment) + 'static,
+    mut transform: impl FnMut(&mut pandora_segment::VideoSegment) + 'static,
 ) -> Rc<std::cell::Cell<u64>> {
     let processed = Rc::new(std::cell::Cell::new(0u64));
     let p = processed.clone();
-    let mut transform = transform;
     spawner.spawn(&format!("filter-unit:{name}"), async move {
-        let mut reasm = Reassembler::new();
+        let mut reasm = unit_reassembler();
         let mut cell_seq: u32 = 0;
-        while let Ok(cell) = in_cells.recv().await {
-            if let Some((_vci, frame)) = reasm.push(cell) {
-                if let Ok(Segment::Video(mut v)) = wire::decode(&frame) {
-                    transform(&mut v);
-                    p.set(p.get() + 1);
-                    let bytes = wire::encode(&Segment::Video(v));
-                    let cells = segment_to_cells(out_vci, &bytes, cell_seq);
-                    cell_seq = cell_seq.wrapping_add(cells.len() as u32);
-                    for c in cells {
-                        if port.send(c).await.is_err() {
-                            return;
-                        }
-                    }
+        while let Some((_, segment)) = recv(&in_cells, &mut reasm).await {
+            if let Segment::Video(mut v) = segment {
+                transform(&mut v);
+                p.set(p.get() + 1);
+                if !send(&port, out_vci, &mut cell_seq, &Segment::Video(v)).await {
+                    return;
                 }
             }
         }

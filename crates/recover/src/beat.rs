@@ -105,12 +105,12 @@ mod tests {
         }
         // Everyone is fresh at enrolment: first sweep misses nobody.
         assert!(beat.sweep().is_empty());
-        // Peers 1 and 3 keep calling; peer 2 goes silent.
-        for _ in 0..2 {
-            beat.hello(1);
-            beat.hello(3);
-            assert!(beat.sweep().is_empty());
-        }
+        // Peers 1 and 3 keep calling; peer 2 goes silent. It is suspected
+        // at its `suspect_after`-th (2nd) missed sweep and dead at its
+        // `dead_after`-th (3rd), per the `LeaseConfig` contract.
+        beat.hello(1);
+        beat.hello(3);
+        assert!(beat.sweep().is_empty());
         beat.hello(1);
         beat.hello(3);
         assert_eq!(beat.sweep(), vec![(2, LeaseEvent::Suspected)]);

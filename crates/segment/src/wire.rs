@@ -4,8 +4,8 @@
 //! "each field in the header is 32 bits in length". Within a box, segments
 //! travel with a stream-number word prepended ("streams within pandora
 //! pass the stream number in an extra field preceding the segment
-//! header", §3.4); [`encode_tagged`] / [`decode_tagged`] handle that
-//! framing.
+//! header", §3.4). Here that tag never becomes bytes: it rides beside
+//! the segment inside a box and in the cell VCI between boxes.
 //!
 //! The zero-copy entry points are [`encode_header_into`] (headers into a
 //! caller-provided region, so the payload can be scatter-gathered from
@@ -24,7 +24,7 @@ use crate::format::{
     VideoCompression, VideoHeader, AUDIO_FULL_HEADER_BYTES, COMMON_HEADER_BYTES, VERSION_ID,
     VIDEO_FIXED_HEADER_BYTES,
 };
-use crate::ids::{SequenceNumber, StreamId, Timestamp};
+use crate::ids::{SequenceNumber, Timestamp};
 use crate::slabseg::SlabSegment;
 
 /// Errors produced while decoding a segment.
@@ -110,16 +110,6 @@ pub fn encode(segment: &Segment) -> Vec<u8> {
     let header = SegmentHeader::of_segment(segment);
     let mut out = vec![0u8; segment.wire_bytes()];
     let hdr = encode_header_into(&header, &mut out);
-    out[hdr..].copy_from_slice(segment.payload());
-    out
-}
-
-/// Encodes a segment preceded by its in-box stream number word.
-pub fn encode_tagged(stream: StreamId, segment: &Segment) -> Vec<u8> {
-    let header = SegmentHeader::of_segment(segment);
-    let mut out = vec![0u8; 4 + segment.wire_bytes()];
-    out[..4].copy_from_slice(&stream.0.to_be_bytes());
-    let hdr = 4 + encode_header_into(&header, &mut out[4..]);
     out[hdr..].copy_from_slice(segment.payload());
     out
 }
@@ -287,19 +277,6 @@ pub fn decode_slab(frame: &SlabRef) -> Result<SlabSegment, WireError> {
     Ok(SlabSegment { header, payload })
 }
 
-/// Decodes a stream-number-tagged segment.
-pub fn decode_tagged(data: &[u8]) -> Result<(StreamId, Segment), WireError> {
-    if data.len() < 4 {
-        return Err(WireError::Truncated {
-            needed: 4,
-            available: data.len(),
-        });
-    }
-    let stream = StreamId(u32::from_be_bytes([data[0], data[1], data[2], data[3]]));
-    let segment = decode(&data[4..])?;
-    Ok((stream, segment))
-}
-
 fn put_u32(buf: &mut [u8], at: &mut usize, value: u32) {
     buf[*at..*at + 4].copy_from_slice(&value.to_be_bytes());
     *at += 4;
@@ -398,15 +375,6 @@ mod tests {
             vec![1, 2, 3, 4, 5],
         ));
         assert_eq!(decode(&encode(&seg)).unwrap(), seg);
-    }
-
-    #[test]
-    fn tagged_round_trip() {
-        let seg = sample_audio();
-        let bytes = encode_tagged(StreamId(17), &seg);
-        let (stream, out) = decode_tagged(&bytes).unwrap();
-        assert_eq!(stream, StreamId(17));
-        assert_eq!(out, seg);
     }
 
     #[test]
